@@ -20,6 +20,7 @@ Two operating modes coexist (DESIGN.md §2.9):
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,6 +213,10 @@ class Machine:
         self._observable_mean_hz: dict[int, float] = {}
         self._edc_caps: list[float | None] = [None] * n_packages
         self._rapl_tick_cache: tuple | None = None
+        # Open settling() batches, and whether a steady-state write inside
+        # them still awaits its settle.
+        self._settle_depth = 0
+        self._settle_pending = False
 
         # Every mutation path of power-model inputs must bump
         # state_version (the memoization key — see PowerModel.bind):
@@ -342,8 +347,32 @@ class Machine:
                 target = min(target, cap)
             self.smus[pkg.index].transitions.request(core, target)
             self.state_version += 1
+        elif self._settle_depth:
+            self._settle_pending = True
+            self.state_version += 1
         else:
             self.reconfigured()
+
+    @contextmanager
+    def settling(self):
+        """Coalesce the steady-state settles of a bulk write into one.
+
+        Inside the (reentrant) block, cpufreq writes record that a settle
+        is pending instead of running :meth:`reconfigured`; the outermost
+        exit then settles once, also when the block raises, so writes made
+        before the exception are settled.  Event-mode writes still issue
+        their SMU transition requests immediately and never settle here.
+        This mirrors the SMU, which evaluates requests on its update slots
+        rather than per MSR write (§V-B).
+        """
+        self._settle_depth += 1
+        try:
+            yield
+        finally:
+            self._settle_depth -= 1
+            if self._settle_depth == 0 and self._settle_pending:
+                self._settle_pending = False
+                self.reconfigured()
 
     def _bump_state_version(self) -> None:
         """Invalidate every ``state_version``-keyed cache."""
@@ -357,8 +386,9 @@ class Machine:
         """Settle the machine after any configuration change.
 
         Runs the EDC loop per package, resolves frequencies per CCX,
-        applies them (instantly, steady-state semantics) and updates the
-        L3 and observable-mean caches.
+        applies them (instantly, steady-state semantics), updates the
+        L3 and observable-mean caches and reports the die currents at
+        the clocks now applied.
         """
         # Bumped on entry (the pre-change caches must not serve the
         # settling logic below) and again on exit (the settling mutates
@@ -403,6 +433,7 @@ class Machine:
                             res.observable_mean_hz
                         )
                     ccx.l3_freq_hz = self.resolver.l3_target_hz(ccx)
+            smu.report_die_currents()
         self.sleep.apply_to_io_dies()
         self.state_version += 1
 

@@ -49,9 +49,14 @@ class Kernel:
         self.cpufreq_policy(cpu_id).set_speed(freq_hz)
 
     def set_all_frequencies(self, freq_hz: float) -> None:
-        """Set every logical CPU's request (the paper's baseline step)."""
-        for cpu_id in sorted(self.machine.topology.cpus):
-            self.set_frequency(cpu_id, freq_hz)
+        """Set every logical CPU's request (the paper's baseline step).
+
+        One settle transaction: the machine settles once after the last
+        write (or after a failing one), not once per CPU.
+        """
+        with self.machine.settling():
+            for cpu_id in sorted(self.machine.topology.cpus):
+                self.set_frequency(cpu_id, freq_hz)
 
     # --- scheduling / placement -------------------------------------------------
 

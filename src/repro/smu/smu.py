@@ -77,6 +77,15 @@ class MasterSmu:
         """Evaluate EDC for the package and cache the cap."""
         assessment = self.edc.assess(self.package, requested_hz)
         self._edc_cap_hz = assessment.cap_hz
+        return assessment
+
+    def report_die_currents(self) -> None:
+        """Refresh each CCD SMU's current estimate from the applied clocks.
+
+        Called once the settle has applied the resolved frequencies, so
+        the telemetry describes the clocks the cores now run at rather
+        than those of the previous settle.
+        """
         for smu, ccd in zip(self.die_smus, self.package.ccds):
             smu.current_a = sum(
                 self.edc.core_current_a(
@@ -86,7 +95,6 @@ class MasterSmu:
                 )
                 for c in ccd.cores()
             )
-        return assessment
 
     def run_ppt_loop(
         self, requested_hz: float, temp_c: float | None = None,

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.iodie.fclk import FclkMode
+from repro.lint.monitor import InvariantMonitor
 from repro.machine import Machine, Quirks
 from repro.units import ghz, ms
 from repro.workloads import FIRESTARTER, SPIN
+from tests.settle_state import settled_state
 
 
 class TestConstruction:
@@ -139,6 +142,110 @@ class TestEventMode:
         machine.enable_event_mode(rapl_ticks=True)
         machine.sim.run_for(ms(10))
         assert machine.rapl_msrs.read_pkg_raw(0) > raw0
+
+
+def _count_settles(machine) -> list:
+    """Wrap ``machine.reconfigured`` on the instance; returns the call log."""
+    calls = []
+    original = machine.reconfigured
+
+    def counted():
+        calls.append(machine.sim.now_ns)
+        original()
+
+    machine.reconfigured = counted
+    return calls
+
+
+def _twin() -> Machine:
+    """A second machine identical to the ``machine`` fixture."""
+    return Machine("EPYC 7502", seed=99)
+
+
+class TestSettlingBatch:
+    """``set_all_frequencies`` is one settle transaction."""
+
+    def test_bulk_write_settles_once(self, machine):
+        assert len(machine.topology.packages) == 2
+        assert sum(1 for _ in machine.topology.cores()) == 64
+        machine.os.run(SPIN, machine.os.all_cpus())
+        settles = _count_settles(machine)
+        machine.os.set_all_frequencies(ghz(2.2))
+        assert len(settles) == 1
+        assert all(
+            c.applied_freq_hz == ghz(2.2) for c in machine.topology.cores()
+        )
+
+    def test_nested_batches_settle_once_on_outer_exit(self, machine):
+        settles = _count_settles(machine)
+        with machine.settling():
+            machine.os.set_all_frequencies(ghz(2.5))
+            machine.os.set_frequency(0, ghz(2.2))
+            assert settles == []
+        assert len(settles) == 1
+
+    def test_monitor_checks_once_on_settled_state(self, machine):
+        machine.os.run(SPIN, machine.os.all_cpus())
+        monitor = InvariantMonitor(machine).attach()
+        seen = []
+        check = monitor.check
+
+        def recording_check():
+            seen.append([c.applied_freq_hz for c in machine.topology.cores()])
+            return check()
+
+        monitor.check = recording_check
+        runs = monitor.checks_run
+        machine.os.set_all_frequencies(ghz(2.5))
+        monitor.detach()
+        assert monitor.checks_run == runs + 1
+        assert seen == [[ghz(2.5)] * 64]
+        assert monitor.violations == []
+
+    def test_event_mode_requests_immediately_and_never_settles(self, machine):
+        twin = _twin()
+        try:
+            logs = []
+            for m in (machine, twin):
+                m.os.run(SPIN, m.os.all_cpus())
+                m.enable_event_mode()
+                log = []
+                for smu in m.smus:
+                    request = smu.transitions.request
+
+                    def recorded(core, target, _request=request, _log=log, _m=m):
+                        _log.append((_m.sim.now_ns, core.global_index, target))
+                        return _request(core, target)
+
+                    smu.transitions.request = recorded
+                logs.append(log)
+            settles = _count_settles(machine)
+            machine.os.set_all_frequencies(ghz(2.5))
+            for cpu in sorted(twin.topology.cpus):
+                twin.os.set_frequency(cpu, ghz(2.5))
+            assert settles == []
+            assert len(logs[0]) == 128
+            assert logs[0] == logs[1]
+        finally:
+            twin.shutdown()
+
+    def test_failing_bulk_write_still_settles(self, machine):
+        twin = _twin()
+        try:
+            for m in (machine, twin):
+                m.os.run(SPIN, m.os.all_cpus())
+                m.os.set_all_frequencies(ghz(2.5))
+                m.os.cpufreq_policy(70).set_governor("performance")
+            with pytest.raises(ConfigurationError):
+                machine.os.set_all_frequencies(ghz(1.5))
+            with pytest.raises(ConfigurationError):
+                for cpu in sorted(twin.topology.cpus):
+                    twin.os.set_frequency(cpu, ghz(1.5))
+            # cpu0 and its sibling cpu64 were written before cpu70 failed.
+            assert machine.topology.thread(0).core.applied_freq_hz == ghz(1.5)
+            assert settled_state(machine) == settled_state(twin)
+        finally:
+            twin.shutdown()
 
 
 class TestQuirks:
