@@ -7,7 +7,10 @@ The paper's methodology, reimplemented step by step:
    expected performance of the target frequency is observed — here the
    polling loop watches the core's applied clock with the workload's
    runtime as the polling quantum, so the measured latency carries the
-   same quantization the real benchmark has;
+   same quantization the real benchmark has.  Only an event changes
+   the applied clock, so the loop skips the quanta before the next
+   queued event in one simulator call and lands on the same quantum
+   boundary a probe-by-probe loop would;
 3. validate with 100 further measurements under a 95 % confidence
    interval; discard the sample (and the next) if validation fails;
 4. switch back, validate again, wait a random 0–10 ms, repeat.
@@ -139,16 +142,30 @@ class FrequencyTransitionExperiment:
     def _one_switch(self, machine, cpu: int, core, target_hz: float, rng) -> tuple[int, bool]:
         """Request ``target_hz`` and poll until performance matches.
 
-        Returns (latency_ns, valid).  The polling loop advances the
-        simulator in minimal-workload quanta; detection is therefore
-        quantized exactly like the real benchmark's runtime probe.
+        Returns (latency_ns, valid).  Detection is quantized to the
+        minimal-workload runtime exactly like the real benchmark's
+        runtime probe, but the empty quanta are skipped: in event mode
+        only an event callback changes the applied clock (and with it
+        the quantum), so each iteration runs in one ``run_until`` to the
+        first quantum boundary at or past the next queued event — or
+        past the timeout, whichever comes first.  ``run_until`` is
+        inclusive, so an event on a boundary fires in the same stride a
+        probe-by-probe loop would see it in; the result is identical.
         """
         sim = machine.sim
         t0 = sim.now_ns
+        deadline_ns = t0 + SAMPLE_TIMEOUT_NS
         machine.os.set_frequency(cpu, target_hz)
         quantum = self._poll_quantum_ns(core)
         while abs(core.applied_freq_hz - target_hz) > 1e3:
-            sim.run_for(quantum)
+            now = sim.now_ns
+            # First boundary past the timeout ...
+            k = (deadline_ns - now) // quantum + 1
+            next_ns = sim.next_event_ns
+            if next_ns is not None:
+                # ... or the first one at or past the next event.
+                k = min(k, max(1, -((now - next_ns) // quantum)))
+            sim.run_until(now + k * quantum)
             if sim.now_ns - t0 > SAMPLE_TIMEOUT_NS:
                 return sim.now_ns - t0, False
             quantum = self._poll_quantum_ns(core)

@@ -433,7 +433,6 @@ class Machine:
                             res.observable_mean_hz
                         )
                     ccx.l3_freq_hz = self.resolver.l3_target_hz(ccx)
-            smu.report_die_currents()
         self.sleep.apply_to_io_dies()
         self.state_version += 1
 

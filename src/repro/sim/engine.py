@@ -281,6 +281,16 @@ class Simulator:
         return True
 
     @property
+    def next_event_ns(self) -> int | None:
+        """Fire time of the earliest pending event, or None if empty.
+
+        Cancelled events are skipped.  Pollers use it to advance in one
+        ``run_until`` to the first quantum boundary at or past the next
+        event: no state an event could change moves before then.
+        """
+        return self._queue.peek_time()
+
+    @property
     def pending_events(self) -> int:
         """Number of non-cancelled events in the queue (O(1))."""
         return len(self._queue)

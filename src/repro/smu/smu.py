@@ -28,13 +28,9 @@ from repro.topology.components import Package
 
 @dataclass
 class Smu:
-    """A per-die management unit; holds die-local telemetry."""
+    """A per-die management unit."""
 
     die_name: str
-    #: Most recent die temperature reported to the master (deg C).
-    temperature_c: float = 30.0
-    #: Most recent die current estimate reported to the master (A).
-    current_a: float = 0.0
 
 
 class MasterSmu:
@@ -63,14 +59,6 @@ class MasterSmu:
         self._edc_cap_hz: float | None = None
         self._ppt_cap_hz: float | None = None
 
-    # --- telemetry aggregation ------------------------------------------------
-
-    def collect_telemetry(self, pkg_temp_c: float) -> None:
-        """Refresh die telemetry (all dies share the package RC node)."""
-        for smu in self.die_smus:
-            smu.temperature_c = pkg_temp_c
-        self.io_smu.temperature_c = pkg_temp_c
-
     # --- control loops -----------------------------------------------------------
 
     def run_edc_loop(self, requested_hz: float) -> EdcAssessment:
@@ -78,23 +66,6 @@ class MasterSmu:
         assessment = self.edc.assess(self.package, requested_hz)
         self._edc_cap_hz = assessment.cap_hz
         return assessment
-
-    def report_die_currents(self) -> None:
-        """Refresh each CCD SMU's current estimate from the applied clocks.
-
-        Called once the settle has applied the resolved frequencies, so
-        the telemetry describes the clocks the cores now run at rather
-        than those of the previous settle.
-        """
-        for smu, ccd in zip(self.die_smus, self.package.ccds):
-            smu.current_a = sum(
-                self.edc.core_current_a(
-                    next((t.workload for t in c.threads if t.is_active), None),
-                    sum(1 for t in c.threads if t.is_active),
-                    c.applied_freq_hz,
-                )
-                for c in ccd.cores()
-            )
 
     def run_ppt_loop(
         self, requested_hz: float, temp_c: float | None = None,

@@ -17,9 +17,6 @@ def settled_state(machine) -> dict:
         "applied_hz": [c.applied_freq_hz for c in cores],
         "edc_caps": list(machine._edc_caps),
         "smu_caps": [(smu.edc_cap_hz, smu.ppt_cap_hz) for smu in machine.smus],
-        "die_current_a": [
-            [die.current_a for die in smu.die_smus] for smu in machine.smus
-        ],
         "l3_hz": [ccx.l3_freq_hz for ccx in topo.ccxs()],
         "observable_mean_hz": [machine.observable_mean_hz(c) for c in cores],
         "cstates": [t.effective_cstate for t in topo.threads()],

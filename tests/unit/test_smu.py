@@ -95,25 +95,3 @@ class TestSmuHierarchy:
         smu = m.smus[0]
         assert len(smu.die_smus) == 4
         assert smu.io_smu.die_name == "iod"
-
-    def test_telemetry_collection(self, m):
-        smu = m.smus[0]
-        smu.collect_telemetry(66.0)
-        assert all(s.temperature_c == 66.0 for s in smu.die_smus)
-        assert smu.io_smu.temperature_c == 66.0
-
-    def test_settle_reports_die_currents_at_applied_clocks(self, m):
-        m.os.set_all_frequencies(ghz(2.5))
-        m.os.run(FIRESTARTER, m.os.all_cpus())
-        m.os.set_all_frequencies(ghz(1.5))
-        for smu in m.smus:
-            for die, ccd in zip(smu.die_smus, smu.package.ccds):
-                expected = sum(
-                    smu.edc.core_current_a(FIRESTARTER, 2, c.applied_freq_hz)
-                    for c in ccd.cores()
-                )
-                assert die.current_a == expected > 0
-            # The EDC loop only assesses; it does not touch the telemetry.
-            before = [die.current_a for die in smu.die_smus]
-            smu.run_edc_loop(ghz(2.5))
-            assert [die.current_a for die in smu.die_smus] == before
